@@ -9,7 +9,11 @@
 # and rustdoc must build warning-free across the workspace
 # (RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace);
 # tier-1 is the ROADMAP.md contract:
-# `cargo build --release && cargo test -q`.
+# `cargo build --release && cargo test -q`, followed by
+# `cargo test --workspace -q`, which also runs every member crate's tests
+# (rnet's golden-bytes and property tests, the stage-tree, sweep-server,
+# distributed and crash-recovery suites) that the root package's tests
+# do not reach.
 # The overhead bench runs in smoke mode as a regression guard on the
 # metrics disabled hot path (must stay ~one relaxed atomic load), and the
 # runtime-throughput bench runs in smoke + net_throughput modes as
@@ -62,6 +66,9 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> workspace: cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> overhead bench (smoke): disabled-path regression guard"
 cargo run --release -p hpo-bench --bin overhead_tracing -- smoke

@@ -62,8 +62,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use rcompss::{connect_workers, Runtime, WorkerBootstrap};
 use rnet::{
-    read_frame, write_frame, Fill, Frame, FrameReader, Interest, LeaderRow, Poller, RecvBuf,
-    SendBuf, Waker,
+    read_frame, write_frame, Fill, Frame, Interest, LeaderRow, Poller, RecvBuf, SendBuf, Waker,
 };
 
 use crate::algo::bayes::BayesSearch;
@@ -231,9 +230,8 @@ pub fn gather_workers(listener: &TcpListener, plan: &PoolPlan) -> io::Result<Vec
 fn adopt_dial_in(stream: TcpStream, peer: SocketAddr) -> Option<WorkerBootstrap> {
     stream.set_nonblocking(false).ok()?;
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut reader = FrameReader::new();
     let mut stream = stream;
-    match read_frame(&mut stream, &mut reader) {
+    match read_frame(&mut stream, &mut RecvBuf::new()) {
         Ok(Some(Frame::Hello { name, cores, gpus, mem_gib })) => {
             let _ = stream.set_read_timeout(None);
             Some(WorkerBootstrap::from_hello(stream, peer.to_string(), name, cores, gpus, mem_gib))

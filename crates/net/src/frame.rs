@@ -15,6 +15,16 @@
 //! shutdowns) at single-digit bytes — the "lean length-prefixed frame"
 //! style of rpc-perf rather than a general-purpose serialisation stack.
 //!
+//! Each frame is declared once, in the frame table below: its type byte
+//! and its fields, in wire order. The table generates the owned [`Frame`],
+//! the zero-copy [`FrameRef`] and the codec between them. A payload is the
+//! frame's fields back to back, each in the encoding of its type: integers
+//! are varints, `f64` is 8 bytes little-endian, strings and byte strings
+//! are length-prefixed, a `u128` is two varint halves (high, low), `bool`
+//! and `Option` are a 0/1 flag, a `Vec` is a varint count and its
+//! elements, and a struct or [`WireArg`] is its fields in order (a
+//! `WireArg` led by its kind).
+//!
 //! Decoding is incremental: [`Frame::decode`] returns `Ok(None)` while the
 //! buffer holds only a frame prefix, so a reader can accumulate bytes from
 //! the socket at arbitrary boundaries and retry.
@@ -31,598 +41,6 @@ pub const VERSION: u8 = 1;
 /// Upper bound on a single frame payload (64 MiB). A length prefix beyond
 /// this is treated as corruption rather than an allocation request.
 pub const MAX_PAYLOAD: u64 = 64 * 1024 * 1024;
-
-/// A tagged, opaque serialised value: `tag` names the application codec
-/// that produced `bytes` (e.g. `"hpo.config"`). The protocol layer never
-/// interprets the bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Blob {
-    /// Codec tag.
-    pub tag: String,
-    /// Encoded value.
-    pub bytes: Vec<u8>,
-}
-
-/// One task input as shipped in a [`Frame::Submit`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireArg {
-    /// Value shipped inline; the worker caches it under `key`.
-    Inline {
-        /// Driver-side data key (`handle << 32 | version`).
-        key: u64,
-        /// The serialised value.
-        blob: Blob,
-    },
-    /// Value already resident in the worker's cache from an earlier
-    /// `Inline` or `Data` frame; the worker fetches on a cache miss.
-    Cached {
-        /// Driver-side data key.
-        key: u64,
-    },
-    /// Value stored in the content-addressed block plane: the worker
-    /// resolves `hash` against its local block cache and issues a
-    /// [`Frame::BlockRequest`] on a miss. `key` still names the data
-    /// version so the worker can alias the decoded value.
-    Block {
-        /// Driver-side data key (`handle << 32 | version`).
-        key: u64,
-        /// Content hash of the encoded value.
-        hash: u128,
-    },
-}
-
-/// Borrowed view of a [`Blob`]: tag and payload point straight into the
-/// receive buffer the frame was decoded from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlobRef<'a> {
-    /// Codec tag.
-    pub tag: &'a str,
-    /// Encoded value.
-    pub bytes: &'a [u8],
-}
-
-impl BlobRef<'_> {
-    /// Copy into an owned [`Blob`].
-    pub fn to_owned(&self) -> Blob {
-        Blob { tag: self.tag.to_string(), bytes: self.bytes.to_vec() }
-    }
-}
-
-/// Borrowed view of a [`WireArg`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireArgRef<'a> {
-    /// See [`WireArg::Inline`].
-    Inline {
-        /// Driver-side data key (`handle << 32 | version`).
-        key: u64,
-        /// The serialised value, borrowed from the receive buffer.
-        blob: BlobRef<'a>,
-    },
-    /// See [`WireArg::Cached`].
-    Cached {
-        /// Driver-side data key.
-        key: u64,
-    },
-    /// See [`WireArg::Block`].
-    Block {
-        /// Driver-side data key.
-        key: u64,
-        /// Content hash of the encoded value.
-        hash: u128,
-    },
-}
-
-impl WireArgRef<'_> {
-    /// Copy into an owned [`WireArg`].
-    pub fn to_owned(&self) -> WireArg {
-        match *self {
-            WireArgRef::Inline { key, blob } => WireArg::Inline { key, blob: blob.to_owned() },
-            WireArgRef::Cached { key } => WireArg::Cached { key },
-            WireArgRef::Block { key, hash } => WireArg::Block { key, hash },
-        }
-    }
-}
-
-/// One leaderboard entry as streamed in a [`Frame::LeaderboardChunk`]:
-/// a finished trial's config label and headline numbers. The protocol
-/// layer carries the rows; what "accuracy" means is the application's
-/// business.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LeaderRow {
-    /// Human-readable config label (e.g. `optimizer=Adam num_epochs=2`).
-    pub label: String,
-    /// Final objective value (higher is better).
-    pub accuracy: f64,
-    /// Epochs actually run (early-stopped trials report fewer).
-    pub epochs: u32,
-    /// Task wall time, µs.
-    pub task_us: u64,
-}
-
-/// Borrowed view of a [`LeaderRow`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LeaderRowRef<'a> {
-    /// Human-readable config label.
-    pub label: &'a str,
-    /// Final objective value (higher is better).
-    pub accuracy: f64,
-    /// Epochs actually run.
-    pub epochs: u32,
-    /// Task wall time, µs.
-    pub task_us: u64,
-}
-
-impl LeaderRowRef<'_> {
-    /// Copy into an owned [`LeaderRow`].
-    pub fn to_owned(&self) -> LeaderRow {
-        LeaderRow {
-            label: self.label.to_string(),
-            accuracy: self.accuracy,
-            epochs: self.epochs,
-            task_us: self.task_us,
-        }
-    }
-}
-
-/// Every message of the protocol.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
-    /// Worker → driver, once per connection: resource registration.
-    Hello {
-        /// Worker display name (defaults to its listen address).
-        name: String,
-        /// CPU cores offered.
-        cores: u32,
-        /// GPUs offered.
-        gpus: u32,
-        /// Memory offered, GiB.
-        mem_gib: u32,
-    },
-    /// Driver → worker: run one task attempt.
-    Submit {
-        /// Driver-side execution id, echoed in `Done`/`Failed`.
-        exec_id: u64,
-        /// Task instance id (for logs/traces on the worker).
-        task_id: u64,
-        /// 1-based attempt number.
-        attempt: u32,
-        /// The driver's node id for this worker (context for the body).
-        node: u32,
-        /// Interned function id: stable per connection.
-        fn_id: u64,
-        /// Function name, present only the first time `fn_id` is used on
-        /// this connection — later submits send just the id.
-        fn_name: Option<String>,
-        /// Which task implementation to run (0 = primary).
-        variant: u32,
-        /// Exact core ids granted on the worker.
-        cores: Vec<u32>,
-        /// Exact GPU ids granted on the worker.
-        gpus: Vec<u32>,
-        /// Inputs, in argument order.
-        args: Vec<WireArg>,
-    },
-    /// Worker → driver: task attempt succeeded.
-    ///
-    /// Besides the outputs, the worker stamps the attempt's lifecycle on its
-    /// own clock: submit receipt, execution start, execution end. Combined
-    /// with the heartbeat clock-offset estimate the driver turns these into
-    /// per-phase latencies (wire / exec / result-ship) without a second
-    /// round trip.
-    Done {
-        /// Echoed execution id.
-        exec_id: u64,
-        /// Worker clock when the `Submit` frame was decoded, µs.
-        recv_us: u64,
-        /// Worker clock when the task body started, µs.
-        start_us: u64,
-        /// Worker clock when the task body returned, µs.
-        end_us: u64,
-        /// Serialised outputs, in declaration order.
-        outputs: Vec<Blob>,
-    },
-    /// Worker → driver: task attempt failed (body error or panic).
-    Failed {
-        /// Echoed execution id.
-        exec_id: u64,
-        /// Human-readable reason.
-        message: String,
-    },
-    /// Driver → worker liveness probe, doubling as a clock-sync sample
-    /// (NTP-style: the ack echoes `t_send_us` and adds the receiver's own
-    /// receive/reply stamps, letting the sender estimate offset and RTT).
-    Heartbeat {
-        /// Monotonic per-connection sequence number.
-        seq: u64,
-        /// Sender's clock at transmission, µs on its own epoch.
-        t_send_us: u64,
-        /// Whether the sender wants the peer to flush telemetry
-        /// ([`Frame::TraceChunk`] / [`Frame::StatsSnapshot`]) frames. When
-        /// false the peer must stay silent on those frame types, keeping
-        /// the tracing flag a true wire-level no-op.
-        telemetry: bool,
-    },
-    /// Worker → driver reply to [`Frame::Heartbeat`].
-    HeartbeatAck {
-        /// Echoed sequence number.
-        seq: u64,
-        /// Echo of the probe's `t_send_us` (sender clock).
-        t_send_us: u64,
-        /// Receiver's clock when the probe arrived, µs on its own epoch.
-        recv_us: u64,
-        /// Receiver's clock when this ack was built, µs on its own epoch.
-        reply_us: u64,
-    },
-    /// Worker → driver: a `Cached` input missed the cache.
-    Fetch {
-        /// The missing data key.
-        key: u64,
-    },
-    /// Driver → worker: the value for an earlier [`Frame::Fetch`].
-    Data {
-        /// The data key.
-        key: u64,
-        /// The serialised value.
-        blob: Blob,
-    },
-    /// A batch of trace records, shipped worker → driver only while the
-    /// peer's last [`Frame::Heartbeat`] asked for telemetry. The payload is
-    /// opaque to the protocol layer — the application's trace codec
-    /// produced it — keeping `rnet` ignorant of trace semantics the same
-    /// way task payloads stay opaque [`Blob`]s.
-    TraceChunk {
-        /// Application-encoded trace records.
-        bytes: Vec<u8>,
-    },
-    /// A point-in-time stat sample, shipped worker → driver on the same
-    /// telemetry gate as [`Frame::TraceChunk`]. Generic name/value pairs:
-    /// the protocol layer carries them, the application names them.
-    StatsSnapshot {
-        /// Sender's clock when the sample was taken, µs on its own epoch.
-        wall_us: u64,
-        /// Monotonically increasing counters, `(name, value)`.
-        counters: Vec<(String, u64)>,
-        /// Instantaneous values, `(name, value)`.
-        gauges: Vec<(String, f64)>,
-    },
-    /// Driver → worker: proactively seed one content-addressed block into
-    /// the worker's block cache, ahead of a `Submit` whose args reference
-    /// it by hash. Idempotent: a worker already holding `hash` ignores the
-    /// payload.
-    BlockPut {
-        /// Content hash of `blob`'s encoded bytes.
-        hash: u128,
-        /// The serialised value.
-        blob: Blob,
-    },
-    /// Worker → driver: a [`WireArg::Block`] input missed the block cache.
-    BlockRequest {
-        /// The missing content hash.
-        hash: u128,
-    },
-    /// Driver → worker: the block for an earlier [`Frame::BlockRequest`].
-    BlockData {
-        /// The content hash.
-        hash: u128,
-        /// The serialised value.
-        blob: Blob,
-    },
-    /// Worker → driver: the LRU budget evicted a block; the driver must
-    /// drop its residency record so future placements re-ship it.
-    BlockEvict {
-        /// The evicted content hash.
-        hash: u128,
-    },
-    /// Client → server, once per connection: role negotiation. A worker's
-    /// first frame on the shared listener is a [`Frame::Hello`]; a sweep
-    /// client's is a `ClientHello` naming its tenant. Everything after
-    /// follows from that first frame type.
-    ClientHello {
-        /// Tenant identity the connection's sweeps are accounted to.
-        tenant: String,
-        /// Client-side protocol revision (forward-compat gate).
-        proto: u32,
-    },
-    /// Client → server: run one hyperparameter sweep on the shared pool.
-    SubmitSweep {
-        /// Display name for the sweep (logs, metrics labels).
-        name: String,
-        /// The JSON search-space document (the paper's config file).
-        space_json: String,
-        /// Search algorithm (`grid` | `random` | `tpe` | `bayes`).
-        algo: String,
-        /// Trial budget for the sampling algorithms (grid ignores it).
-        trials: u32,
-        /// RNG seed — same seed + space + algo ⇒ same trial sequence.
-        seed: u64,
-        /// Wave size override (0 = server default).
-        wave: u32,
-    },
-    /// Server → client: a request was refused (admission control, quota,
-    /// malformed space, unknown sweep). The typed error frame of the
-    /// client plane: `code` is machine-readable, `message` for humans.
-    SweepReject {
-        /// Machine-readable reject class (see the application's catalogue).
-        code: u32,
-        /// Human-readable reason.
-        message: String,
-    },
-    /// Sweep status, in both directions. Client → server it is a query:
-    /// only `sweep_id` and `follow` are meaningful (`follow != 0`
-    /// subscribes the connection to the sweep's live leaderboard stream).
-    /// Server → client it is the answer — and the ack of a
-    /// [`Frame::SubmitSweep`], carrying the assigned `sweep_id`.
-    SweepStatus {
-        /// Server-assigned sweep id.
-        sweep_id: u64,
-        /// Lifecycle state (application-defined catalogue).
-        state: u32,
-        /// Trials finished successfully.
-        done: u32,
-        /// Trials failed.
-        failed: u32,
-        /// Total trial budget (0 = unknown ahead of time).
-        total: u32,
-        /// Best objective value so far (NaN-free: 0 until a trial lands).
-        best_acc: f64,
-        /// Config label of the best trial so far (empty until one lands).
-        best_label: String,
-        /// Times this sweep's tenant hit its rate limit so far.
-        throttled: u64,
-        /// Query direction only: subscribe to the live leaderboard.
-        follow: u32,
-    },
-    /// Server → client: a batch of freshly finished trials for a sweep the
-    /// connection follows. Subscribing replays the full leaderboard so
-    /// far, then streams increments as trials land.
-    LeaderboardChunk {
-        /// The sweep the rows belong to.
-        sweep_id: u64,
-        /// Finished trials, in completion order.
-        rows: Vec<LeaderRow>,
-    },
-    /// Client → server: stop a sweep. In-flight trials drain; the sweep
-    /// ends in the `cancelled` state and its workers return to the pool.
-    CancelSweep {
-        /// The sweep to cancel.
-        sweep_id: u64,
-    },
-    /// Server → client: terminal state of a sweep the connection follows
-    /// (or just submitted). Exactly one per sweep per subscriber.
-    SweepDone {
-        /// The finished sweep.
-        sweep_id: u64,
-        /// Terminal lifecycle state (done / failed / cancelled).
-        state: u32,
-        /// Sweep wall time, µs.
-        wall_us: u64,
-        /// Empty on success; the error for failed sweeps.
-        message: String,
-    },
-    /// Driver → worker: drain and close the connection.
-    Shutdown,
-}
-
-/// Borrowed view of a [`Frame`], decoded in place from a receive buffer.
-///
-/// This is the zero-copy half of the decode API: strings and blob payloads
-/// point straight into the buffer the bytes arrived in, so a hot loop can
-/// hand a `Done` frame's outputs to the value codecs without an
-/// intermediate copy. Call [`FrameRef::to_owned`] when the data must
-/// outlive the buffer (which invalidates on the next compaction or fill).
-///
-/// ```
-/// use rnet::{Frame, FrameRef};
-///
-/// let hb = Frame::Heartbeat { seq: 7, t_send_us: 1_000, telemetry: false };
-/// let wire = hb.encode();
-/// let (frame, used) = FrameRef::decode(&wire).unwrap().expect("complete");
-/// assert_eq!(used, wire.len());
-/// assert!(matches!(frame, FrameRef::Heartbeat { seq: 7, .. }));
-/// assert_eq!(frame.to_owned(), hb);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub enum FrameRef<'a> {
-    /// See [`Frame::Hello`].
-    Hello {
-        /// Worker display name.
-        name: &'a str,
-        /// CPU cores offered.
-        cores: u32,
-        /// GPUs offered.
-        gpus: u32,
-        /// Memory offered, GiB.
-        mem_gib: u32,
-    },
-    /// See [`Frame::Submit`].
-    Submit {
-        /// Driver-side execution id.
-        exec_id: u64,
-        /// Task instance id.
-        task_id: u64,
-        /// 1-based attempt number.
-        attempt: u32,
-        /// The driver's node id for this worker.
-        node: u32,
-        /// Interned function id.
-        fn_id: u64,
-        /// Function name, present only on the first use of `fn_id`.
-        fn_name: Option<&'a str>,
-        /// Which task implementation to run.
-        variant: u32,
-        /// Exact core ids granted.
-        cores: Vec<u32>,
-        /// Exact GPU ids granted.
-        gpus: Vec<u32>,
-        /// Inputs, in argument order, blobs borrowed.
-        args: Vec<WireArgRef<'a>>,
-    },
-    /// See [`Frame::Done`].
-    Done {
-        /// Echoed execution id.
-        exec_id: u64,
-        /// Worker clock when the `Submit` frame was decoded, µs.
-        recv_us: u64,
-        /// Worker clock when the task body started, µs.
-        start_us: u64,
-        /// Worker clock when the task body returned, µs.
-        end_us: u64,
-        /// Serialised outputs, borrowed.
-        outputs: Vec<BlobRef<'a>>,
-    },
-    /// See [`Frame::Failed`].
-    Failed {
-        /// Echoed execution id.
-        exec_id: u64,
-        /// Human-readable reason.
-        message: &'a str,
-    },
-    /// See [`Frame::Heartbeat`].
-    Heartbeat {
-        /// Monotonic per-connection sequence number.
-        seq: u64,
-        /// Sender's clock at transmission, µs on its own epoch.
-        t_send_us: u64,
-        /// Whether the sender wants telemetry frames flushed.
-        telemetry: bool,
-    },
-    /// See [`Frame::HeartbeatAck`].
-    HeartbeatAck {
-        /// Echoed sequence number.
-        seq: u64,
-        /// Echo of the probe's `t_send_us` (sender clock).
-        t_send_us: u64,
-        /// Receiver's clock when the probe arrived.
-        recv_us: u64,
-        /// Receiver's clock when this ack was built.
-        reply_us: u64,
-    },
-    /// See [`Frame::Fetch`].
-    Fetch {
-        /// The missing data key.
-        key: u64,
-    },
-    /// See [`Frame::Data`].
-    Data {
-        /// The data key.
-        key: u64,
-        /// The serialised value, borrowed.
-        blob: BlobRef<'a>,
-    },
-    /// See [`Frame::TraceChunk`].
-    TraceChunk {
-        /// Application-encoded trace records, borrowed.
-        bytes: &'a [u8],
-    },
-    /// See [`Frame::StatsSnapshot`].
-    StatsSnapshot {
-        /// Sender's clock when the sample was taken.
-        wall_us: u64,
-        /// Monotonically increasing counters, names borrowed.
-        counters: Vec<(&'a str, u64)>,
-        /// Instantaneous values, names borrowed.
-        gauges: Vec<(&'a str, f64)>,
-    },
-    /// See [`Frame::BlockPut`].
-    BlockPut {
-        /// Content hash of `blob`'s encoded bytes.
-        hash: u128,
-        /// The serialised value, borrowed.
-        blob: BlobRef<'a>,
-    },
-    /// See [`Frame::BlockRequest`].
-    BlockRequest {
-        /// The missing content hash.
-        hash: u128,
-    },
-    /// See [`Frame::BlockData`].
-    BlockData {
-        /// The content hash.
-        hash: u128,
-        /// The serialised value, borrowed.
-        blob: BlobRef<'a>,
-    },
-    /// See [`Frame::BlockEvict`].
-    BlockEvict {
-        /// The evicted content hash.
-        hash: u128,
-    },
-    /// See [`Frame::ClientHello`].
-    ClientHello {
-        /// Tenant identity.
-        tenant: &'a str,
-        /// Client-side protocol revision.
-        proto: u32,
-    },
-    /// See [`Frame::SubmitSweep`].
-    SubmitSweep {
-        /// Display name for the sweep.
-        name: &'a str,
-        /// The JSON search-space document.
-        space_json: &'a str,
-        /// Search algorithm.
-        algo: &'a str,
-        /// Trial budget for the sampling algorithms.
-        trials: u32,
-        /// RNG seed.
-        seed: u64,
-        /// Wave size override (0 = server default).
-        wave: u32,
-    },
-    /// See [`Frame::SweepReject`].
-    SweepReject {
-        /// Machine-readable reject class.
-        code: u32,
-        /// Human-readable reason.
-        message: &'a str,
-    },
-    /// See [`Frame::SweepStatus`].
-    SweepStatus {
-        /// Server-assigned sweep id.
-        sweep_id: u64,
-        /// Lifecycle state.
-        state: u32,
-        /// Trials finished successfully.
-        done: u32,
-        /// Trials failed.
-        failed: u32,
-        /// Total trial budget (0 = unknown).
-        total: u32,
-        /// Best objective value so far.
-        best_acc: f64,
-        /// Config label of the best trial so far.
-        best_label: &'a str,
-        /// Times this sweep's tenant hit its rate limit so far.
-        throttled: u64,
-        /// Query direction only: subscribe to the live leaderboard.
-        follow: u32,
-    },
-    /// See [`Frame::LeaderboardChunk`].
-    LeaderboardChunk {
-        /// The sweep the rows belong to.
-        sweep_id: u64,
-        /// Finished trials, labels borrowed.
-        rows: Vec<LeaderRowRef<'a>>,
-    },
-    /// See [`Frame::CancelSweep`].
-    CancelSweep {
-        /// The sweep to cancel.
-        sweep_id: u64,
-    },
-    /// See [`Frame::SweepDone`].
-    SweepDone {
-        /// The finished sweep.
-        sweep_id: u64,
-        /// Terminal lifecycle state.
-        state: u32,
-        /// Sweep wall time, µs.
-        wall_us: u64,
-        /// Empty on success; the error for failed sweeps.
-        message: &'a str,
-    },
-    /// See [`Frame::Shutdown`].
-    Shutdown,
-}
 
 /// Why a buffer cannot be decoded as a frame. All variants are fatal for
 /// the connection — only `Ok(None)` from [`Frame::decode`] means "wait for
@@ -661,51 +79,629 @@ impl From<WireError> for DecodeError {
     }
 }
 
-const T_HELLO: u8 = 1;
-const T_SUBMIT: u8 = 2;
-const T_DONE: u8 = 3;
-const T_FAILED: u8 = 4;
-const T_HEARTBEAT: u8 = 5;
-const T_HEARTBEAT_ACK: u8 = 6;
-const T_FETCH: u8 = 7;
-const T_DATA: u8 = 8;
-const T_SHUTDOWN: u8 = 9;
-const T_TRACE_CHUNK: u8 = 10;
-const T_STATS_SNAPSHOT: u8 = 11;
-const T_BLOCK_PUT: u8 = 12;
-const T_BLOCK_REQUEST: u8 = 13;
-const T_BLOCK_DATA: u8 = 14;
-const T_BLOCK_EVICT: u8 = 15;
-const T_CLIENT_HELLO: u8 = 16;
-const T_SUBMIT_SWEEP: u8 = 17;
-const T_SWEEP_REJECT: u8 = 18;
-const T_SWEEP_STATUS: u8 = 19;
-const T_LEADERBOARD_CHUNK: u8 = 20;
-const T_CANCEL_SWEEP: u8 = 21;
-const T_SWEEP_DONE: u8 = 22;
-
-fn put_blob(out: &mut Vec<u8>, blob: &Blob) {
-    wire::put_str(out, &blob.tag);
-    wire::put_bytes(out, &blob.bytes);
+/// How one frame field crosses the wire: `put` appends its bytes, `read`
+/// decodes its borrowed form in place and `to_owned` copies that out.
+pub(crate) trait Field: Sized {
+    /// The decoded form: strings and byte strings borrow the buffer.
+    type Ref<'a>;
+    fn put(&self, out: &mut Vec<u8>);
+    fn read<'a>(r: &mut Reader<'a>) -> Result<Self::Ref<'a>, WireError>;
+    fn to_owned(r: &Self::Ref<'_>) -> Self;
 }
 
-fn read_blob_ref<'a>(r: &mut Reader<'a>) -> Result<BlobRef<'a>, WireError> {
-    let tag = r.str_ref()?;
-    let bytes = r.bytes()?;
-    Ok(BlobRef { tag, bytes })
+/// Fields whose decoded form is the value itself.
+macro_rules! copy_fields {
+    ($($t:ty: $put:path, $read:path;)*) => {$(
+        impl Field for $t {
+            type Ref<'a> = $t;
+            fn put(&self, out: &mut Vec<u8>) {
+                $put(out, *self)
+            }
+            fn read<'a>(r: &mut Reader<'a>) -> Result<$t, WireError> {
+                $read(r)
+            }
+            fn to_owned(r: &$t) -> $t {
+                *r
+            }
+        }
+    )*};
 }
 
-/// A 128-bit content hash crosses the wire as two varint u64 halves
-/// (high, low) — `wire` only speaks u64-sized integers.
-fn put_hash(out: &mut Vec<u8>, hash: u128) {
-    wire::put_u64(out, (hash >> 64) as u64);
-    wire::put_u64(out, hash as u64);
+copy_fields! {
+    u32: wire::put_u32, Reader::u32;
+    u64: wire::put_u64, Reader::u64;
+    f64: wire::put_f64, Reader::f64;
+    u128: put_u128, read_u128;
+    bool: put_flag, read_flag;
 }
 
-fn read_hash(r: &mut Reader<'_>) -> Result<u128, WireError> {
+/// A 128-bit content hash as two varint u64 halves (high, low): `wire`
+/// only speaks u64-sized integers.
+fn put_u128(out: &mut Vec<u8>, v: u128) {
+    wire::put_u64(out, (v >> 64) as u64);
+    wire::put_u64(out, v as u64);
+}
+
+fn read_u128(r: &mut Reader<'_>) -> Result<u128, WireError> {
     let hi = r.u64()?;
     let lo = r.u64()?;
     Ok(((hi as u128) << 64) | lo as u128)
+}
+
+fn put_flag(out: &mut Vec<u8>, v: bool) {
+    wire::put_u64(out, u64::from(v));
+}
+
+/// A flag is 0 or 1; anything else is a malformed payload.
+fn read_flag(r: &mut Reader<'_>) -> Result<bool, WireError> {
+    match r.u64()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(WireError(format!("bad flag {other}"))),
+    }
+}
+
+impl Field for String {
+    type Ref<'a> = &'a str;
+    fn put(&self, out: &mut Vec<u8>) {
+        wire::put_str(out, self);
+    }
+    fn read<'a>(r: &mut Reader<'a>) -> Result<&'a str, WireError> {
+        r.str_ref()
+    }
+    fn to_owned(r: &&str) -> String {
+        r.to_string()
+    }
+}
+
+impl Field for Vec<u8> {
+    type Ref<'a> = &'a [u8];
+    fn put(&self, out: &mut Vec<u8>) {
+        wire::put_bytes(out, self);
+    }
+    fn read<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], WireError> {
+        r.bytes()
+    }
+    fn to_owned(r: &&[u8]) -> Vec<u8> {
+        r.to_vec()
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    type Ref<'a> = Option<T::Ref<'a>>;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_flag(out, self.is_some());
+        if let Some(v) = self {
+            v.put(out);
+        }
+    }
+    fn read<'a>(r: &mut Reader<'a>) -> Result<Self::Ref<'a>, WireError> {
+        Ok(if read_flag(r)? { Some(T::read(r)?) } else { None })
+    }
+    fn to_owned(r: &Self::Ref<'_>) -> Self {
+        r.as_ref().map(T::to_owned)
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    type Ref<'a> = Vec<T::Ref<'a>>;
+    fn put(&self, out: &mut Vec<u8>) {
+        wire::put_u64(out, self.len() as u64);
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn read<'a>(r: &mut Reader<'a>) -> Result<Self::Ref<'a>, WireError> {
+        // The count comes off the wire: cap the reservation, and let a
+        // count that overstates the payload fail on truncation.
+        let n = r.u64()?;
+        let mut out = Vec::with_capacity(n.min(1024) as usize);
+        for _ in 0..n {
+            out.push(T::read(r)?);
+        }
+        Ok(out)
+    }
+    fn to_owned(r: &Self::Ref<'_>) -> Self {
+        r.iter().map(T::to_owned).collect()
+    }
+}
+
+impl<A: Field, B: Field> Field for (A, B) {
+    type Ref<'a> = (A::Ref<'a>, B::Ref<'a>);
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn read<'a>(r: &mut Reader<'a>) -> Result<Self::Ref<'a>, WireError> {
+        Ok((A::read(r)?, B::read(r)?))
+    }
+    fn to_owned(r: &Self::Ref<'_>) -> Self {
+        (A::to_owned(&r.0), B::to_owned(&r.1))
+    }
+}
+
+/// The [`FrameRef`] field type of an owned [`Frame`] field type: the same
+/// mapping as [`Field::Ref`], spelled out so the public enum names plain
+/// types rather than projections through the crate-private trait.
+macro_rules! borrowed {
+    ($a:lifetime, String) => { &$a str };
+    ($a:lifetime, Vec<u8>) => { &$a [u8] };
+    ($a:lifetime, Vec<$t:tt>) => { Vec<borrowed!($a, $t)> };
+    ($a:lifetime, Option<$t:tt>) => { Option<borrowed!($a, $t)> };
+    ($a:lifetime, ($x:tt, $y:tt)) => { (borrowed!($a, $x), borrowed!($a, $y)) };
+    ($a:lifetime, Blob) => { BlobRef<$a> };
+    ($a:lifetime, WireArg) => { WireArgRef<$a> };
+    ($a:lifetime, LeaderRow) => { LeaderRowRef<$a> };
+    ($a:lifetime, $t:ident) => { $t };
+}
+
+/// Declare a struct that crosses the wire as its fields in order: the
+/// owned struct, its borrowed twin and the [`Field`] impl between them.
+macro_rules! wire_struct {
+    (
+        $(#[$m:meta])* $Owned:ident,
+        $(#[$rm:meta])* $Ref:ident { $($(#[$fm:meta])* $f:ident: $t:ident $(<$inner:tt>)?,)* }
+    ) => {
+        $(#[$m])*
+        pub struct $Owned {
+            $($(#[$fm])* pub $f: $t $(<$inner>)?,)*
+        }
+
+        $(#[$rm])*
+        pub struct $Ref<'a> {
+            $($(#[$fm])* pub $f: borrowed!('a, $t $(<$inner>)?),)*
+        }
+
+        impl $Ref<'_> {
+            #[doc = concat!("Copy into an owned [`", stringify!($Owned), "`].")]
+            pub fn to_owned(&self) -> $Owned {
+                $Owned { $($f: <$t $(<$inner>)? as Field>::to_owned(&self.$f),)* }
+            }
+        }
+
+        impl Field for $Owned {
+            type Ref<'a> = $Ref<'a>;
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$f.put(out);)*
+            }
+            fn read<'a>(r: &mut Reader<'a>) -> Result<$Ref<'a>, WireError> {
+                Ok($Ref { $($f: <$t $(<$inner>)? as Field>::read(r)?,)* })
+            }
+            fn to_owned(r: &$Ref<'_>) -> $Owned {
+                r.to_owned()
+            }
+        }
+    };
+}
+
+wire_struct! {
+    /// A tagged, opaque serialised value: `tag` names the application codec
+    /// that produced `bytes` (e.g. `"hpo.config"`). The protocol layer never
+    /// interprets the bytes.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    Blob,
+    /// Borrowed view of a [`Blob`]: tag and payload point straight into the
+    /// receive buffer the frame was decoded from.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    BlobRef {
+        /// Codec tag.
+        tag: String,
+        /// Encoded value.
+        bytes: Vec<u8>,
+    }
+}
+
+wire_struct! {
+    /// One leaderboard entry as streamed in a [`Frame::LeaderboardChunk`]:
+    /// a finished trial's config label and headline numbers. The protocol
+    /// layer carries the rows; what "accuracy" means is the application's
+    /// business.
+    #[derive(Debug, Clone, PartialEq)]
+    LeaderRow,
+    /// Borrowed view of a [`LeaderRow`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    LeaderRowRef {
+        /// Human-readable config label (e.g. `optimizer=Adam num_epochs=2`).
+        label: String,
+        /// Final objective value (higher is better).
+        accuracy: f64,
+        /// Epochs actually run (early-stopped trials report fewer).
+        epochs: u32,
+        /// Task wall time, µs.
+        task_us: u64,
+    }
+}
+
+/// Declare a tagged union that crosses the wire as its variant's tag, then
+/// that variant's fields in order: the owned enum, its borrowed twin, and
+/// per-variant tag, encode, decode and copy-out code. Where the tag goes
+/// is the caller's business — a frame header byte for [`Frame`], a leading
+/// varint for [`WireArg`].
+macro_rules! wire_enum {
+    (
+        $(#[$m:meta])* $Owned:ident,
+        $(#[$rm:meta])* $Ref:ident {$(
+            $(#[$vm:meta])*
+            $V:ident = $tag:literal $({ $($(#[$fm:meta])* $f:ident: $t:ident $(<$inner:tt>)?,)* })?,
+        )*}
+    ) => {
+        $(#[$m])*
+        pub enum $Owned {
+            $($(#[$vm])* $V $({ $($(#[$fm])* $f: $t $(<$inner>)?,)* })?,)*
+        }
+
+        $(#[$rm])*
+        pub enum $Ref<'a> {
+            $(
+                #[doc = concat!("See [`", stringify!($Owned), "::", stringify!($V), "`].")]
+                $V $({ $($(#[$fm])* $f: borrowed!('a, $t $(<$inner>)?),)* })?,
+            )*
+        }
+
+        impl $Owned {
+            /// Whether `tag` names a variant.
+            fn is_tag(tag: u8) -> bool {
+                const KNOWN: [bool; 256] = {
+                    let mut known = [false; 256];
+                    $(known[$tag] = true;)*
+                    known
+                };
+                KNOWN[usize::from(tag)]
+            }
+
+            fn tag(&self) -> u8 {
+                match self {
+                    $($Owned::$V { .. } => $tag,)*
+                }
+            }
+
+            /// Append the variant's fields (not its tag).
+            fn encode_fields(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($Owned::$V $({ $($f),* })? => { $($($f.put(out);)*)? })*
+                }
+            }
+        }
+
+        impl<'a> $Ref<'a> {
+            /// Decode the fields of the variant tagged `tag`.
+            fn decode_fields(tag: u8, r: &mut Reader<'a>) -> Result<Self, WireError> {
+                Ok(match tag {
+                    $($tag => $Ref::$V $({ $($f: <$t $(<$inner>)? as Field>::read(r)?,)* })?,)*
+                    _ => {
+                        let what = stringify!($Owned);
+                        return Err(WireError(format!("unknown {what} tag {tag}")));
+                    }
+                })
+            }
+
+            #[doc = concat!(
+                "Materialise an owned [`", stringify!($Owned), "`], copying every borrowed field."
+            )]
+            pub fn to_owned(&self) -> $Owned {
+                match self {
+                    $($Ref::$V $({ $($f),* })? => $Owned::$V $({
+                        $($f: <$t $(<$inner>)? as Field>::to_owned($f),)*
+                    })?,)*
+                }
+            }
+        }
+    };
+}
+
+wire_enum! {
+    /// One task input as shipped in a [`Frame::Submit`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    WireArg,
+    /// Borrowed view of a [`WireArg`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    WireArgRef {
+        /// Value shipped inline; the worker caches it under `key`.
+        Inline = 0 {
+            /// Driver-side data key (`handle << 32 | version`).
+            key: u64,
+            /// The serialised value.
+            blob: Blob,
+        },
+        /// Value already resident in the worker's cache from an earlier
+        /// `Inline` or `Data` frame; the worker fetches on a cache miss.
+        Cached = 1 {
+            /// Driver-side data key.
+            key: u64,
+        },
+        /// Value stored in the content-addressed block plane: the worker
+        /// resolves `hash` against its local block cache and issues a
+        /// [`Frame::BlockRequest`] on a miss. `key` still names the data
+        /// version so the worker can alias the decoded value.
+        Block = 2 {
+            /// Driver-side data key (`handle << 32 | version`).
+            key: u64,
+            /// Content hash of the encoded value.
+            hash: u128,
+        },
+    }
+}
+
+/// The kind as a varint, then the variant's fields.
+impl Field for WireArg {
+    type Ref<'a> = WireArgRef<'a>;
+    fn put(&self, out: &mut Vec<u8>) {
+        wire::put_u64(out, u64::from(self.tag()));
+        self.encode_fields(out);
+    }
+    fn read<'a>(r: &mut Reader<'a>) -> Result<WireArgRef<'a>, WireError> {
+        let kind = r.u64()?;
+        match u8::try_from(kind) {
+            Ok(tag) if WireArg::is_tag(tag) => WireArgRef::decode_fields(tag, r),
+            _ => Err(WireError(format!("bad arg kind {kind}"))),
+        }
+    }
+    fn to_owned(r: &WireArgRef<'_>) -> WireArg {
+        r.to_owned()
+    }
+}
+
+// The frame table: per frame its docs, its type byte and its fields in
+// wire order.
+wire_enum! {
+    /// Every message of the protocol.
+    #[derive(Debug, Clone, PartialEq)]
+    Frame,
+    /// Borrowed view of a [`Frame`], decoded in place from a receive buffer.
+    ///
+    /// This is the zero-copy half of the decode API: strings and blob payloads
+    /// point straight into the buffer the bytes arrived in, so a hot loop can
+    /// hand a `Done` frame's outputs to the value codecs without an
+    /// intermediate copy. Call [`FrameRef::to_owned`] when the data must
+    /// outlive the buffer (which invalidates on the next compaction or fill).
+    ///
+    /// ```
+    /// use rnet::{Frame, FrameRef};
+    ///
+    /// let hb = Frame::Heartbeat { seq: 7, t_send_us: 1_000, telemetry: false };
+    /// let wire = hb.encode();
+    /// let (frame, used) = FrameRef::decode(&wire).unwrap().expect("complete");
+    /// assert_eq!(used, wire.len());
+    /// assert!(matches!(frame, FrameRef::Heartbeat { seq: 7, .. }));
+    /// assert_eq!(frame.to_owned(), hb);
+    /// ```
+    #[derive(Debug, Clone, PartialEq)]
+    FrameRef {
+        /// Worker → driver, once per connection: resource registration.
+        Hello = 1 {
+            /// Worker display name (defaults to its listen address).
+            name: String,
+            /// CPU cores offered.
+            cores: u32,
+            /// GPUs offered.
+            gpus: u32,
+            /// Memory offered, GiB.
+            mem_gib: u32,
+        },
+        /// Driver → worker: run one task attempt.
+        Submit = 2 {
+            /// Driver-side execution id, echoed in `Done`/`Failed`.
+            exec_id: u64,
+            /// Task instance id (for logs/traces on the worker).
+            task_id: u64,
+            /// 1-based attempt number.
+            attempt: u32,
+            /// The driver's node id for this worker (context for the body).
+            node: u32,
+            /// Interned function id: stable per connection.
+            fn_id: u64,
+            /// Function name, present only the first time `fn_id` is used on
+            /// this connection — later submits send just the id.
+            fn_name: Option<String>,
+            /// Which task implementation to run (0 = primary).
+            variant: u32,
+            /// Exact core ids granted on the worker.
+            cores: Vec<u32>,
+            /// Exact GPU ids granted on the worker.
+            gpus: Vec<u32>,
+            /// Inputs, in argument order.
+            args: Vec<WireArg>,
+        },
+        /// Worker → driver: task attempt succeeded.
+        ///
+        /// Besides the outputs, the worker stamps the attempt's lifecycle on its
+        /// own clock: submit receipt, execution start, execution end. Combined
+        /// with the heartbeat clock-offset estimate the driver turns these into
+        /// per-phase latencies (wire / exec / result-ship) without a second
+        /// round trip.
+        Done = 3 {
+            /// Echoed execution id.
+            exec_id: u64,
+            /// Worker clock when the `Submit` frame was decoded, µs.
+            recv_us: u64,
+            /// Worker clock when the task body started, µs.
+            start_us: u64,
+            /// Worker clock when the task body returned, µs.
+            end_us: u64,
+            /// Serialised outputs, in declaration order.
+            outputs: Vec<Blob>,
+        },
+        /// Worker → driver: task attempt failed (body error or panic).
+        Failed = 4 {
+            /// Echoed execution id.
+            exec_id: u64,
+            /// Human-readable reason.
+            message: String,
+        },
+        /// Driver → worker liveness probe, doubling as a clock-sync sample
+        /// (NTP-style: the ack echoes `t_send_us` and adds the receiver's own
+        /// receive/reply stamps, letting the sender estimate offset and RTT).
+        Heartbeat = 5 {
+            /// Monotonic per-connection sequence number.
+            seq: u64,
+            /// Sender's clock at transmission, µs on its own epoch.
+            t_send_us: u64,
+            /// Whether the sender wants the peer to flush telemetry
+            /// ([`Frame::TraceChunk`] / [`Frame::StatsSnapshot`]) frames. When
+            /// false the peer must stay silent on those frame types, keeping
+            /// the tracing flag a true wire-level no-op.
+            telemetry: bool,
+        },
+        /// Worker → driver reply to [`Frame::Heartbeat`].
+        HeartbeatAck = 6 {
+            /// Echoed sequence number.
+            seq: u64,
+            /// Echo of the probe's `t_send_us` (sender clock).
+            t_send_us: u64,
+            /// Receiver's clock when the probe arrived, µs on its own epoch.
+            recv_us: u64,
+            /// Receiver's clock when this ack was built, µs on its own epoch.
+            reply_us: u64,
+        },
+        /// Worker → driver: a `Cached` input missed the cache.
+        Fetch = 7 {
+            /// The missing data key.
+            key: u64,
+        },
+        /// Driver → worker: the value for an earlier [`Frame::Fetch`].
+        Data = 8 {
+            /// The data key.
+            key: u64,
+            /// The serialised value.
+            blob: Blob,
+        },
+        /// Driver → worker: drain and close the connection.
+        Shutdown = 9,
+        /// A batch of trace records, shipped worker → driver only while the
+        /// peer's last [`Frame::Heartbeat`] asked for telemetry. The payload is
+        /// opaque to the protocol layer — the application's trace codec
+        /// produced it — keeping `rnet` ignorant of trace semantics the same
+        /// way task payloads stay opaque [`Blob`]s.
+        TraceChunk = 10 {
+            /// Application-encoded trace records.
+            bytes: Vec<u8>,
+        },
+        /// A point-in-time stat sample, shipped worker → driver on the same
+        /// telemetry gate as [`Frame::TraceChunk`]. Generic name/value pairs:
+        /// the protocol layer carries them, the application names them.
+        StatsSnapshot = 11 {
+            /// Sender's clock when the sample was taken, µs on its own epoch.
+            wall_us: u64,
+            /// Monotonically increasing counters, `(name, value)`.
+            counters: Vec<(String, u64)>,
+            /// Instantaneous values, `(name, value)`.
+            gauges: Vec<(String, f64)>,
+        },
+        /// Driver → worker: proactively seed one content-addressed block into
+        /// the worker's block cache, ahead of a `Submit` whose args reference
+        /// it by hash. Idempotent: a worker already holding `hash` ignores the
+        /// payload.
+        BlockPut = 12 {
+            /// Content hash of `blob`'s encoded bytes.
+            hash: u128,
+            /// The serialised value.
+            blob: Blob,
+        },
+        /// Worker → driver: a [`WireArg::Block`] input missed the block cache.
+        BlockRequest = 13 {
+            /// The missing content hash.
+            hash: u128,
+        },
+        /// Driver → worker: the block for an earlier [`Frame::BlockRequest`].
+        BlockData = 14 {
+            /// The content hash.
+            hash: u128,
+            /// The serialised value.
+            blob: Blob,
+        },
+        /// Worker → driver: the LRU budget evicted a block; the driver must
+        /// drop its residency record so future placements re-ship it.
+        BlockEvict = 15 {
+            /// The evicted content hash.
+            hash: u128,
+        },
+        /// Client → server, once per connection: role negotiation. A worker's
+        /// first frame on the shared listener is a [`Frame::Hello`]; a sweep
+        /// client's is a `ClientHello` naming its tenant. Everything after
+        /// follows from that first frame type.
+        ClientHello = 16 {
+            /// Tenant identity the connection's sweeps are accounted to.
+            tenant: String,
+            /// Client-side protocol revision (forward-compat gate).
+            proto: u32,
+        },
+        /// Client → server: run one hyperparameter sweep on the shared pool.
+        SubmitSweep = 17 {
+            /// Display name for the sweep (logs, metrics labels).
+            name: String,
+            /// The JSON search-space document (the paper's config file).
+            space_json: String,
+            /// Search algorithm (`grid` | `random` | `tpe` | `bayes`).
+            algo: String,
+            /// Trial budget for the sampling algorithms (grid ignores it).
+            trials: u32,
+            /// RNG seed — same seed + space + algo ⇒ same trial sequence.
+            seed: u64,
+            /// Wave size override (0 = server default).
+            wave: u32,
+        },
+        /// Server → client: a request was refused (admission control, quota,
+        /// malformed space, unknown sweep). The typed error frame of the
+        /// client plane: `code` is machine-readable, `message` for humans.
+        SweepReject = 18 {
+            /// Machine-readable reject class (see the application's catalogue).
+            code: u32,
+            /// Human-readable reason.
+            message: String,
+        },
+        /// Sweep status, in both directions. Client → server it is a query:
+        /// only `sweep_id` and `follow` are meaningful (`follow != 0`
+        /// subscribes the connection to the sweep's live leaderboard stream).
+        /// Server → client it is the answer — and the ack of a
+        /// [`Frame::SubmitSweep`], carrying the assigned `sweep_id`.
+        SweepStatus = 19 {
+            /// Server-assigned sweep id.
+            sweep_id: u64,
+            /// Lifecycle state (application-defined catalogue).
+            state: u32,
+            /// Trials finished successfully.
+            done: u32,
+            /// Trials failed.
+            failed: u32,
+            /// Total trial budget (0 = unknown ahead of time).
+            total: u32,
+            /// Best objective value so far (NaN-free: 0 until a trial lands).
+            best_acc: f64,
+            /// Config label of the best trial so far (empty until one lands).
+            best_label: String,
+            /// Times this sweep's tenant hit its rate limit so far.
+            throttled: u64,
+            /// Query direction only: subscribe to the live leaderboard.
+            follow: u32,
+        },
+        /// Server → client: a batch of freshly finished trials for a sweep the
+        /// connection follows. Subscribing replays the full leaderboard so
+        /// far, then streams increments as trials land.
+        LeaderboardChunk = 20 {
+            /// The sweep the rows belong to.
+            sweep_id: u64,
+            /// Finished trials, in completion order.
+            rows: Vec<LeaderRow>,
+        },
+        /// Client → server: stop a sweep. In-flight trials drain; the sweep
+        /// ends in the `cancelled` state and its workers return to the pool.
+        CancelSweep = 21 {
+            /// The sweep to cancel.
+            sweep_id: u64,
+        },
+        /// Server → client: terminal state of a sweep the connection follows
+        /// (or just submitted). Exactly one per sweep per subscriber.
+        SweepDone = 22 {
+            /// The finished sweep.
+            sweep_id: u64,
+            /// Terminal lifecycle state (done / failed / cancelled).
+            state: u32,
+            /// Sweep wall time, µs.
+            wall_us: u64,
+            /// Empty on success; the error for failed sweeps.
+            message: String,
+        },
+    }
 }
 
 /// Scan the frame header at the front of `buf`.
@@ -724,7 +720,7 @@ fn frame_extent(buf: &[u8]) -> Result<Option<(usize, usize, u8)>, DecodeError> {
     if buf.len() >= 3 && buf[2] != VERSION {
         return Err(DecodeError::BadVersion(buf[2]));
     }
-    if buf.len() >= 4 && !(T_HELLO..=T_SWEEP_DONE).contains(&buf[3]) {
+    if buf.len() >= 4 && !Frame::is_tag(buf[3]) {
         return Err(DecodeError::UnknownFrameType(buf[3]));
     }
     if buf.len() < 4 {
@@ -748,206 +744,6 @@ fn frame_extent(buf: &[u8]) -> Result<Option<(usize, usize, u8)>, DecodeError> {
 }
 
 impl Frame {
-    fn frame_type(&self) -> u8 {
-        match self {
-            Frame::Hello { .. } => T_HELLO,
-            Frame::Submit { .. } => T_SUBMIT,
-            Frame::Done { .. } => T_DONE,
-            Frame::Failed { .. } => T_FAILED,
-            Frame::Heartbeat { .. } => T_HEARTBEAT,
-            Frame::HeartbeatAck { .. } => T_HEARTBEAT_ACK,
-            Frame::Fetch { .. } => T_FETCH,
-            Frame::Data { .. } => T_DATA,
-            Frame::TraceChunk { .. } => T_TRACE_CHUNK,
-            Frame::StatsSnapshot { .. } => T_STATS_SNAPSHOT,
-            Frame::BlockPut { .. } => T_BLOCK_PUT,
-            Frame::BlockRequest { .. } => T_BLOCK_REQUEST,
-            Frame::BlockData { .. } => T_BLOCK_DATA,
-            Frame::BlockEvict { .. } => T_BLOCK_EVICT,
-            Frame::ClientHello { .. } => T_CLIENT_HELLO,
-            Frame::SubmitSweep { .. } => T_SUBMIT_SWEEP,
-            Frame::SweepReject { .. } => T_SWEEP_REJECT,
-            Frame::SweepStatus { .. } => T_SWEEP_STATUS,
-            Frame::LeaderboardChunk { .. } => T_LEADERBOARD_CHUNK,
-            Frame::CancelSweep { .. } => T_CANCEL_SWEEP,
-            Frame::SweepDone { .. } => T_SWEEP_DONE,
-            Frame::Shutdown => T_SHUTDOWN,
-        }
-    }
-
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        match self {
-            Frame::Hello { name, cores, gpus, mem_gib } => {
-                wire::put_str(out, name);
-                wire::put_u32(out, *cores);
-                wire::put_u32(out, *gpus);
-                wire::put_u32(out, *mem_gib);
-            }
-            Frame::Submit {
-                exec_id,
-                task_id,
-                attempt,
-                node,
-                fn_id,
-                fn_name,
-                variant,
-                cores,
-                gpus,
-                args,
-            } => {
-                wire::put_u64(out, *exec_id);
-                wire::put_u64(out, *task_id);
-                wire::put_u32(out, *attempt);
-                wire::put_u32(out, *node);
-                wire::put_u64(out, *fn_id);
-                match fn_name {
-                    Some(name) => {
-                        out.push(1);
-                        wire::put_str(out, name);
-                    }
-                    None => out.push(0),
-                }
-                wire::put_u32(out, *variant);
-                wire::put_u64(out, cores.len() as u64);
-                for c in cores {
-                    wire::put_u32(out, *c);
-                }
-                wire::put_u64(out, gpus.len() as u64);
-                for g in gpus {
-                    wire::put_u32(out, *g);
-                }
-                wire::put_u64(out, args.len() as u64);
-                for arg in args {
-                    match arg {
-                        WireArg::Inline { key, blob } => {
-                            out.push(0);
-                            wire::put_u64(out, *key);
-                            put_blob(out, blob);
-                        }
-                        WireArg::Cached { key } => {
-                            out.push(1);
-                            wire::put_u64(out, *key);
-                        }
-                        WireArg::Block { key, hash } => {
-                            out.push(2);
-                            wire::put_u64(out, *key);
-                            put_hash(out, *hash);
-                        }
-                    }
-                }
-            }
-            Frame::Done { exec_id, recv_us, start_us, end_us, outputs } => {
-                wire::put_u64(out, *exec_id);
-                wire::put_u64(out, *recv_us);
-                wire::put_u64(out, *start_us);
-                wire::put_u64(out, *end_us);
-                wire::put_u64(out, outputs.len() as u64);
-                for b in outputs {
-                    put_blob(out, b);
-                }
-            }
-            Frame::Failed { exec_id, message } => {
-                wire::put_u64(out, *exec_id);
-                wire::put_str(out, message);
-            }
-            Frame::Heartbeat { seq, t_send_us, telemetry } => {
-                wire::put_u64(out, *seq);
-                wire::put_u64(out, *t_send_us);
-                wire::put_u64(out, u64::from(*telemetry));
-            }
-            Frame::HeartbeatAck { seq, t_send_us, recv_us, reply_us } => {
-                wire::put_u64(out, *seq);
-                wire::put_u64(out, *t_send_us);
-                wire::put_u64(out, *recv_us);
-                wire::put_u64(out, *reply_us);
-            }
-            Frame::Fetch { key } => wire::put_u64(out, *key),
-            Frame::Data { key, blob } => {
-                wire::put_u64(out, *key);
-                put_blob(out, blob);
-            }
-            Frame::TraceChunk { bytes } => wire::put_bytes(out, bytes),
-            Frame::StatsSnapshot { wall_us, counters, gauges } => {
-                wire::put_u64(out, *wall_us);
-                wire::put_u64(out, counters.len() as u64);
-                for (name, v) in counters {
-                    wire::put_str(out, name);
-                    wire::put_u64(out, *v);
-                }
-                wire::put_u64(out, gauges.len() as u64);
-                for (name, v) in gauges {
-                    wire::put_str(out, name);
-                    wire::put_f64(out, *v);
-                }
-            }
-            Frame::BlockPut { hash, blob } => {
-                put_hash(out, *hash);
-                put_blob(out, blob);
-            }
-            Frame::BlockRequest { hash } => put_hash(out, *hash),
-            Frame::BlockData { hash, blob } => {
-                put_hash(out, *hash);
-                put_blob(out, blob);
-            }
-            Frame::BlockEvict { hash } => put_hash(out, *hash),
-            Frame::ClientHello { tenant, proto } => {
-                wire::put_str(out, tenant);
-                wire::put_u32(out, *proto);
-            }
-            Frame::SubmitSweep { name, space_json, algo, trials, seed, wave } => {
-                wire::put_str(out, name);
-                wire::put_str(out, space_json);
-                wire::put_str(out, algo);
-                wire::put_u32(out, *trials);
-                wire::put_u64(out, *seed);
-                wire::put_u32(out, *wave);
-            }
-            Frame::SweepReject { code, message } => {
-                wire::put_u32(out, *code);
-                wire::put_str(out, message);
-            }
-            Frame::SweepStatus {
-                sweep_id,
-                state,
-                done,
-                failed,
-                total,
-                best_acc,
-                best_label,
-                throttled,
-                follow,
-            } => {
-                wire::put_u64(out, *sweep_id);
-                wire::put_u32(out, *state);
-                wire::put_u32(out, *done);
-                wire::put_u32(out, *failed);
-                wire::put_u32(out, *total);
-                wire::put_f64(out, *best_acc);
-                wire::put_str(out, best_label);
-                wire::put_u64(out, *throttled);
-                wire::put_u32(out, *follow);
-            }
-            Frame::LeaderboardChunk { sweep_id, rows } => {
-                wire::put_u64(out, *sweep_id);
-                wire::put_u64(out, rows.len() as u64);
-                for row in rows {
-                    wire::put_str(out, &row.label);
-                    wire::put_f64(out, row.accuracy);
-                    wire::put_u32(out, row.epochs);
-                    wire::put_u64(out, row.task_us);
-                }
-            }
-            Frame::CancelSweep { sweep_id } => wire::put_u64(out, *sweep_id),
-            Frame::SweepDone { sweep_id, state, wall_us, message } => {
-                wire::put_u64(out, *sweep_id);
-                wire::put_u32(out, *state);
-                wire::put_u64(out, *wall_us);
-                wire::put_str(out, message);
-            }
-            Frame::Shutdown => {}
-        }
-    }
-
     /// Append the complete frame (header + payload) to `out`.
     ///
     /// The payload is staged in a thread-local scratch buffer (the varint
@@ -963,10 +759,10 @@ impl Frame {
         SCRATCH.with(|cell| {
             let mut payload = cell.borrow_mut();
             payload.clear();
-            self.encode_payload(&mut payload);
+            self.encode_fields(&mut payload);
             out.extend_from_slice(&MAGIC);
             out.push(VERSION);
-            out.push(self.frame_type());
+            out.push(self.tag());
             varint::put(out, payload.len() as u64);
             out.extend_from_slice(&payload);
             // Don't let one huge Data/Block frame pin its footprint.
@@ -1011,164 +807,6 @@ impl Frame {
 }
 
 impl<'a> FrameRef<'a> {
-    fn decode_payload(frame_type: u8, payload: &'a [u8]) -> Result<FrameRef<'a>, DecodeError> {
-        let mut r = Reader::new(payload);
-        let frame = match frame_type {
-            T_HELLO => FrameRef::Hello {
-                name: r.str_ref()?,
-                cores: r.u32()?,
-                gpus: r.u32()?,
-                mem_gib: r.u32()?,
-            },
-            T_SUBMIT => {
-                let exec_id = r.u64()?;
-                let task_id = r.u64()?;
-                let attempt = r.u32()?;
-                let node = r.u32()?;
-                let fn_id = r.u64()?;
-                let fn_name = match r.u64()? {
-                    0 => None,
-                    1 => Some(r.str_ref()?),
-                    other => {
-                        return Err(DecodeError::Malformed(format!("bad option flag {other}")))
-                    }
-                };
-                let variant = r.u32()?;
-                let n_cores = r.u64()? as usize;
-                let cores =
-                    (0..n_cores).map(|_| r.u32()).collect::<Result<Vec<u32>, WireError>>()?;
-                let n_gpus = r.u64()? as usize;
-                let gpus = (0..n_gpus).map(|_| r.u32()).collect::<Result<Vec<u32>, WireError>>()?;
-                let n_args = r.u64()? as usize;
-                let mut args = Vec::with_capacity(n_args.min(1024));
-                for _ in 0..n_args {
-                    args.push(match r.u64()? {
-                        0 => WireArgRef::Inline { key: r.u64()?, blob: read_blob_ref(&mut r)? },
-                        1 => WireArgRef::Cached { key: r.u64()? },
-                        2 => WireArgRef::Block { key: r.u64()?, hash: read_hash(&mut r)? },
-                        other => {
-                            return Err(DecodeError::Malformed(format!("bad arg kind {other}")))
-                        }
-                    });
-                }
-                FrameRef::Submit {
-                    exec_id,
-                    task_id,
-                    attempt,
-                    node,
-                    fn_id,
-                    fn_name,
-                    variant,
-                    cores,
-                    gpus,
-                    args,
-                }
-            }
-            T_DONE => {
-                let exec_id = r.u64()?;
-                let recv_us = r.u64()?;
-                let start_us = r.u64()?;
-                let end_us = r.u64()?;
-                let n = r.u64()? as usize;
-                let mut outputs = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    outputs.push(read_blob_ref(&mut r)?);
-                }
-                FrameRef::Done { exec_id, recv_us, start_us, end_us, outputs }
-            }
-            T_FAILED => FrameRef::Failed { exec_id: r.u64()?, message: r.str_ref()? },
-            T_HEARTBEAT => {
-                let seq = r.u64()?;
-                let t_send_us = r.u64()?;
-                let telemetry = match r.u64()? {
-                    0 => false,
-                    1 => true,
-                    other => {
-                        return Err(DecodeError::Malformed(format!("bad telemetry flag {other}")))
-                    }
-                };
-                FrameRef::Heartbeat { seq, t_send_us, telemetry }
-            }
-            T_HEARTBEAT_ACK => FrameRef::HeartbeatAck {
-                seq: r.u64()?,
-                t_send_us: r.u64()?,
-                recv_us: r.u64()?,
-                reply_us: r.u64()?,
-            },
-            T_FETCH => FrameRef::Fetch { key: r.u64()? },
-            T_DATA => FrameRef::Data { key: r.u64()?, blob: read_blob_ref(&mut r)? },
-            T_TRACE_CHUNK => FrameRef::TraceChunk { bytes: r.bytes()? },
-            T_STATS_SNAPSHOT => {
-                let wall_us = r.u64()?;
-                let n_counters = r.u64()? as usize;
-                let mut counters = Vec::with_capacity(n_counters.min(1024));
-                for _ in 0..n_counters {
-                    counters.push((r.str_ref()?, r.u64()?));
-                }
-                let n_gauges = r.u64()? as usize;
-                let mut gauges = Vec::with_capacity(n_gauges.min(1024));
-                for _ in 0..n_gauges {
-                    gauges.push((r.str_ref()?, r.f64()?));
-                }
-                FrameRef::StatsSnapshot { wall_us, counters, gauges }
-            }
-            T_BLOCK_PUT => {
-                FrameRef::BlockPut { hash: read_hash(&mut r)?, blob: read_blob_ref(&mut r)? }
-            }
-            T_BLOCK_REQUEST => FrameRef::BlockRequest { hash: read_hash(&mut r)? },
-            T_BLOCK_DATA => {
-                FrameRef::BlockData { hash: read_hash(&mut r)?, blob: read_blob_ref(&mut r)? }
-            }
-            T_BLOCK_EVICT => FrameRef::BlockEvict { hash: read_hash(&mut r)? },
-            T_CLIENT_HELLO => FrameRef::ClientHello { tenant: r.str_ref()?, proto: r.u32()? },
-            T_SUBMIT_SWEEP => FrameRef::SubmitSweep {
-                name: r.str_ref()?,
-                space_json: r.str_ref()?,
-                algo: r.str_ref()?,
-                trials: r.u32()?,
-                seed: r.u64()?,
-                wave: r.u32()?,
-            },
-            T_SWEEP_REJECT => FrameRef::SweepReject { code: r.u32()?, message: r.str_ref()? },
-            T_SWEEP_STATUS => FrameRef::SweepStatus {
-                sweep_id: r.u64()?,
-                state: r.u32()?,
-                done: r.u32()?,
-                failed: r.u32()?,
-                total: r.u32()?,
-                best_acc: r.f64()?,
-                best_label: r.str_ref()?,
-                throttled: r.u64()?,
-                follow: r.u32()?,
-            },
-            T_LEADERBOARD_CHUNK => {
-                let sweep_id = r.u64()?;
-                let n = r.u64()? as usize;
-                let mut rows = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    rows.push(LeaderRowRef {
-                        label: r.str_ref()?,
-                        accuracy: r.f64()?,
-                        epochs: r.u32()?,
-                        task_us: r.u64()?,
-                    });
-                }
-                FrameRef::LeaderboardChunk { sweep_id, rows }
-            }
-            T_CANCEL_SWEEP => FrameRef::CancelSweep { sweep_id: r.u64()? },
-            T_SWEEP_DONE => FrameRef::SweepDone {
-                sweep_id: r.u64()?,
-                state: r.u32()?,
-                wall_us: r.u64()?,
-                message: r.str_ref()?,
-            },
-            T_SHUTDOWN => FrameRef::Shutdown,
-            other => return Err(DecodeError::UnknownFrameType(other)),
-        };
-        r.finish()?;
-        Ok(frame)
-    }
-
     /// Zero-copy decode of one frame from the front of `buf`; the same
     /// contract as [`Frame::decode`], but string and blob fields borrow
     /// from `buf` instead of copying.
@@ -1176,127 +814,10 @@ impl<'a> FrameRef<'a> {
         let Some((payload_at, total, frame_type)) = frame_extent(buf)? else {
             return Ok(None);
         };
-        let payload = &buf[payload_at..total];
-        Ok(Some((Self::decode_payload(frame_type, payload)?, total)))
-    }
-
-    /// Materialise an owned [`Frame`], copying every borrowed field.
-    pub fn to_owned(&self) -> Frame {
-        match self {
-            FrameRef::Hello { name, cores, gpus, mem_gib } => Frame::Hello {
-                name: name.to_string(),
-                cores: *cores,
-                gpus: *gpus,
-                mem_gib: *mem_gib,
-            },
-            FrameRef::Submit {
-                exec_id,
-                task_id,
-                attempt,
-                node,
-                fn_id,
-                fn_name,
-                variant,
-                cores,
-                gpus,
-                args,
-            } => Frame::Submit {
-                exec_id: *exec_id,
-                task_id: *task_id,
-                attempt: *attempt,
-                node: *node,
-                fn_id: *fn_id,
-                fn_name: fn_name.map(|s| s.to_string()),
-                variant: *variant,
-                cores: cores.clone(),
-                gpus: gpus.clone(),
-                args: args.iter().map(|a| a.to_owned()).collect(),
-            },
-            FrameRef::Done { exec_id, recv_us, start_us, end_us, outputs } => Frame::Done {
-                exec_id: *exec_id,
-                recv_us: *recv_us,
-                start_us: *start_us,
-                end_us: *end_us,
-                outputs: outputs.iter().map(|b| b.to_owned()).collect(),
-            },
-            FrameRef::Failed { exec_id, message } => {
-                Frame::Failed { exec_id: *exec_id, message: message.to_string() }
-            }
-            FrameRef::Heartbeat { seq, t_send_us, telemetry } => {
-                Frame::Heartbeat { seq: *seq, t_send_us: *t_send_us, telemetry: *telemetry }
-            }
-            FrameRef::HeartbeatAck { seq, t_send_us, recv_us, reply_us } => Frame::HeartbeatAck {
-                seq: *seq,
-                t_send_us: *t_send_us,
-                recv_us: *recv_us,
-                reply_us: *reply_us,
-            },
-            FrameRef::Fetch { key } => Frame::Fetch { key: *key },
-            FrameRef::Data { key, blob } => Frame::Data { key: *key, blob: blob.to_owned() },
-            FrameRef::TraceChunk { bytes } => Frame::TraceChunk { bytes: bytes.to_vec() },
-            FrameRef::StatsSnapshot { wall_us, counters, gauges } => Frame::StatsSnapshot {
-                wall_us: *wall_us,
-                counters: counters.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-                gauges: gauges.iter().map(|&(n, v)| (n.to_string(), v)).collect(),
-            },
-            FrameRef::BlockPut { hash, blob } => {
-                Frame::BlockPut { hash: *hash, blob: blob.to_owned() }
-            }
-            FrameRef::BlockRequest { hash } => Frame::BlockRequest { hash: *hash },
-            FrameRef::BlockData { hash, blob } => {
-                Frame::BlockData { hash: *hash, blob: blob.to_owned() }
-            }
-            FrameRef::BlockEvict { hash } => Frame::BlockEvict { hash: *hash },
-            FrameRef::ClientHello { tenant, proto } => {
-                Frame::ClientHello { tenant: tenant.to_string(), proto: *proto }
-            }
-            FrameRef::SubmitSweep { name, space_json, algo, trials, seed, wave } => {
-                Frame::SubmitSweep {
-                    name: name.to_string(),
-                    space_json: space_json.to_string(),
-                    algo: algo.to_string(),
-                    trials: *trials,
-                    seed: *seed,
-                    wave: *wave,
-                }
-            }
-            FrameRef::SweepReject { code, message } => {
-                Frame::SweepReject { code: *code, message: message.to_string() }
-            }
-            FrameRef::SweepStatus {
-                sweep_id,
-                state,
-                done,
-                failed,
-                total,
-                best_acc,
-                best_label,
-                throttled,
-                follow,
-            } => Frame::SweepStatus {
-                sweep_id: *sweep_id,
-                state: *state,
-                done: *done,
-                failed: *failed,
-                total: *total,
-                best_acc: *best_acc,
-                best_label: best_label.to_string(),
-                throttled: *throttled,
-                follow: *follow,
-            },
-            FrameRef::LeaderboardChunk { sweep_id, rows } => Frame::LeaderboardChunk {
-                sweep_id: *sweep_id,
-                rows: rows.iter().map(|row| row.to_owned()).collect(),
-            },
-            FrameRef::CancelSweep { sweep_id } => Frame::CancelSweep { sweep_id: *sweep_id },
-            FrameRef::SweepDone { sweep_id, state, wall_us, message } => Frame::SweepDone {
-                sweep_id: *sweep_id,
-                state: *state,
-                wall_us: *wall_us,
-                message: message.to_string(),
-            },
-            FrameRef::Shutdown => Frame::Shutdown,
-        }
+        let mut r = Reader::new(&buf[payload_at..total]);
+        let frame = Self::decode_fields(frame_type, &mut r)?;
+        r.finish()?;
+        Ok(Some((frame, total)))
     }
 }
 

@@ -1,24 +1,39 @@
-//! Fuzz-style tests for the event-loop decode path: every round-trip frame
-//! sequence is fed through [`RecvBuf`] byte-by-byte and in random chunk
-//! partitions, and must reassemble to exactly what a one-shot
-//! [`FrameRef::decode`] pass produces. Random garbage and corrupted
-//! streams must error cleanly, never panic.
+//! Property tests for the frame codec and the decode path every
+//! connection uses: random sequences of all frame types are fed through
+//! [`RecvBuf`] byte-by-byte and in random chunk partitions, and must
+//! reassemble to exactly what a one-shot [`FrameRef::decode`] pass
+//! produces. A lone frame decodes from its exact buffer and waits on every
+//! prefix. Random garbage and corrupted streams must error cleanly, never
+//! panic.
 
 use std::io::{self, Read};
 
 use proptest::prelude::*;
-use rnet::{Blob, Fill, Frame, FrameRef, RecvBuf, WireArg};
+use rnet::{Blob, Fill, Frame, FrameRef, LeaderRow, RecvBuf, WireArg};
 
 fn arb_blob() -> impl Strategy<Value = Blob> {
     ("[a-z.]{0,12}", proptest::collection::vec(any::<u8>(), 0..200))
         .prop_map(|(tag, bytes)| Blob { tag, bytes })
 }
 
+// The vendored proptest has no `Arbitrary` for u128: build hashes from
+// two u64 halves.
+fn arb_hash() -> impl Strategy<Value = u128> {
+    (any::<u64>(), any::<u64>()).prop_map(|(hi, lo)| ((hi as u128) << 64) | lo as u128)
+}
+
 fn arb_arg() -> impl Strategy<Value = WireArg> {
     prop_oneof![
         (any::<u64>(), arb_blob()).prop_map(|(key, blob)| WireArg::Inline { key, blob }),
         any::<u64>().prop_map(|key| WireArg::Cached { key }),
+        (any::<u64>(), arb_hash()).prop_map(|(key, hash)| WireArg::Block { key, hash }),
     ]
+}
+
+fn arb_row() -> impl Strategy<Value = LeaderRow> {
+    ("[ -~]{0,40}", -1e300f64..1e300f64, any::<u32>(), any::<u64>()).prop_map(
+        |(label, accuracy, epochs, task_us)| LeaderRow { label, accuracy, epochs, task_us },
+    )
 }
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
@@ -93,6 +108,70 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 counters,
                 gauges
             }),
+        (arb_hash(), arb_blob()).prop_map(|(hash, blob)| Frame::BlockPut { hash, blob }),
+        arb_hash().prop_map(|hash| Frame::BlockRequest { hash }),
+        (arb_hash(), arb_blob()).prop_map(|(hash, blob)| Frame::BlockData { hash, blob }),
+        arb_hash().prop_map(|hash| Frame::BlockEvict { hash }),
+        ("[ -~]{0,24}", any::<u32>())
+            .prop_map(|(tenant, proto)| Frame::ClientHello { tenant, proto }),
+        ("[ -~]{0,24}", "[ -~]{0,120}", "[a-z]{0,8}", any::<u32>(), any::<u64>(), any::<u32>())
+            .prop_map(|(name, space_json, algo, trials, seed, wave)| Frame::SubmitSweep {
+                name,
+                space_json,
+                algo,
+                trials,
+                seed,
+                wave
+            }),
+        (any::<u32>(), "[ -~]{0,60}")
+            .prop_map(|(code, message)| Frame::SweepReject { code, message }),
+        (
+            any::<u64>(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            -1e300f64..1e300f64,
+            "[ -~]{0,40}",
+            any::<u64>(),
+            any::<u32>(),
+        )
+            .prop_map(
+                |(
+                    sweep_id,
+                    state,
+                    done,
+                    failed,
+                    total,
+                    best_acc,
+                    best_label,
+                    throttled,
+                    follow,
+                )| {
+                    Frame::SweepStatus {
+                        sweep_id,
+                        state,
+                        done,
+                        failed,
+                        total,
+                        best_acc,
+                        best_label,
+                        throttled,
+                        follow,
+                    }
+                }
+            ),
+        (any::<u64>(), proptest::collection::vec(arb_row(), 0..6))
+            .prop_map(|(sweep_id, rows)| Frame::LeaderboardChunk { sweep_id, rows }),
+        any::<u64>().prop_map(|sweep_id| Frame::CancelSweep { sweep_id }),
+        (any::<u64>(), any::<u32>(), any::<u64>(), "[ -~]{0,60}").prop_map(
+            |(sweep_id, state, wall_us, message)| Frame::SweepDone {
+                sweep_id,
+                state,
+                wall_us,
+                message
+            }
+        ),
         Just(Frame::Shutdown),
     ]
 }
@@ -221,5 +300,25 @@ proptest! {
         let at = flip_at % wire.len();
         wire[at] ^= flip_bits;
         let _ = incremental(&wire, vec![7; wire.len() / 7 + 1]);
+    }
+
+    /// A lone frame decodes from its exact buffer and from every prefix
+    /// returns "incomplete" rather than garbage or panic.
+    #[test]
+    fn single_frame_roundtrip_and_prefix_safety(frame in arb_frame()) {
+        let buf = frame.encode();
+        let (decoded, used) = Frame::decode(&buf).unwrap().expect("complete");
+        prop_assert_eq!(&decoded, &frame);
+        prop_assert_eq!(used, buf.len());
+        for cut in 1..buf.len() {
+            prop_assert_eq!(Frame::decode(&buf[..cut]).unwrap(), None);
+        }
+    }
+
+    /// Random bytes never panic the one-shot decoder: they either fail
+    /// cleanly or wait for more input.
+    #[test]
+    fn oneshot_garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        let _ = Frame::decode(&bytes);
     }
 }
